@@ -1,8 +1,6 @@
 package network
 
 import (
-	"fmt"
-
 	"bsmp/internal/cost"
 	"bsmp/internal/hram"
 	"bsmp/internal/sched"
@@ -31,25 +29,12 @@ import (
 // order, so the queue's (time, proc, seq) order — and every virtual
 // time — is a pure function of (prog, steps, delay model).
 func RunGuestEvents(ma *Machine, prog Program, steps int) ([]hram.Word, cost.Time) {
-	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuestEvents needs P == N, got P=%d N=%d", ma.P, ma.N))
-	}
 	start := ma.Elapsed()
 	memSize := ma.NodeMemory()
 	n := ma.P
 
 	// Initial loading is free (Poke), as in the synchronous executors.
-	bufs := [2][]hram.Word{make([]hram.Word, n), make([]hram.Word, n)}
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < n; i++ {
-		for a := range raw {
-			raw[a] = 0
-		}
-		bufs[0][i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
-		}
-	}
+	bufs := [2][]hram.Word{load(ma, prog), make([]hram.Word, n)}
 
 	// Adjacency and spacing come straight from the machine's topology —
 	// the event engine never does its own mesh math.

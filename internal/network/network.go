@@ -13,9 +13,6 @@ package network
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"sync"
 
 	"bsmp/internal/cost"
 	"bsmp/internal/hram"
@@ -24,12 +21,12 @@ import (
 
 // Machine is an Md(n, p, m).
 type Machine struct {
-	// D is the mesh dimension (1 or 2).
+	// D is the mesh dimension (1, 2 or 3).
 	D int
 	// N is the machine volume: the guest-equivalent processor count.
 	N int
-	// P is the number of (CPU, memory-module) nodes; for D = 2 it must
-	// be a perfect square.
+	// P is the number of (CPU, memory-module) nodes; for D = 2 (resp. 3)
+	// it must be a perfect square (resp. cube).
 	P int
 	// M is the memory density: cells per unit of volume. Each node holds
 	// M*N/P words.
@@ -52,36 +49,9 @@ type Machine struct {
 
 // New constructs Md(n, p, m). Constraints: d in {1, 2, 3}; 1 <= p <= n;
 // m >= 1; p divides n; for d = 2 (resp. 3), p and n must be perfect
-// squares (resp. cubes).
+// squares (resp. cubes). topology.NewMesh checks the shape and NewOn the
+// density; either panics on a violation.
 func New(d, n, p, m int, opts ...hram.Option) *Machine {
-	if d < 1 || d > 3 {
-		panic(fmt.Sprintf("network: dimension %d not in {1,2,3}", d))
-	}
-	if p < 1 || n < p {
-		panic(fmt.Sprintf("network: need 1 <= p <= n, got p=%d n=%d", p, n))
-	}
-	if m < 1 {
-		panic(fmt.Sprintf("network: density m=%d < 1", m))
-	}
-	if n%p != 0 {
-		panic(fmt.Sprintf("network: p=%d must divide n=%d", p, n))
-	}
-	if d == 2 {
-		if s := intSqrt(p); s*s != p {
-			panic(fmt.Sprintf("network: d=2 needs square p, got %d", p))
-		}
-		if s := intSqrt(n); s*s != n {
-			panic(fmt.Sprintf("network: d=2 needs square n, got %d", n))
-		}
-	}
-	if d == 3 {
-		if s := intCbrt(p); s*s*s != p {
-			panic(fmt.Sprintf("network: d=3 needs cubic p, got %d", p))
-		}
-		if s := intCbrt(n); s*s*s != n {
-			panic(fmt.Sprintf("network: d=3 needs cubic n, got %d", n))
-		}
-	}
 	return NewOn(topology.NewMesh(d, n, p), n, m, opts...)
 }
 
@@ -195,48 +165,8 @@ type Program interface {
 // This is the guest computation of the paper's theorems: its elapsed time
 // is the Tn in every slowdown ratio Tp/Tn.
 func RunGuest(ma *Machine, prog Program, steps int) ([]hram.Word, cost.Time) {
-	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuest needs P == N, got P=%d N=%d", ma.P, ma.N))
-	}
-	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
-	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		// Initial loading is free (Poke): inputs are assumed in place,
-		// as in the paper's model where (v, 0) holds the initial value.
-		for a := range raw {
-			raw[a] = 0
-		}
-		b[i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
-		}
-	}
-	prevB := make([]hram.Word, ma.P)
-	nbr := neighborLists(ma.topo, ma.P)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for v := 0; v < ma.P; v++ {
-			addr := prog.Address(v, t, memSize)
-			cell := ma.Nodes[v].Read(addr)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, cell, ops)
-			ma.Nodes[v].Op()
-			ma.Nodes[v].Write(addr, cellOut)
-			// Neighbor exchange: receiving 2d values over distance
-			// Spacing() in parallel costs one link traversal.
-			ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-			b[v] = out
-		}
-		ma.Bank.Barrier()
-	}
-	return b, ma.Elapsed() - start
+	b, elapsed, _ := RunGuestHook(ma, prog, steps, nil)
+	return b, elapsed
 }
 
 // StepHook is polled by the hooked guest executors once per completed
@@ -246,138 +176,77 @@ func RunGuest(ma *Machine, prog Program, steps int) ([]hram.Word, cost.Time) {
 // whose hook always returns nil is bit-identical to the unhooked one.
 type StepHook func(vertices int) error
 
-// RunGuestHook is RunGuest with an optional per-step hook (nil runs
-// RunGuest itself). simulate uses the hook for cooperative cancellation
-// and progress metering.
+// RunGuestHook is RunGuest with an optional per-step hook (nil runs no
+// hook). simulate uses the hook for cooperative cancellation and
+// progress metering.
 //
-// The hooked loop below mirrors RunGuest's step loop verbatim and must
-// stay in lockstep with it. The duplication is deliberate: folding the
-// hook branch into RunGuest's loop costs ~10% on the replay-bound
-// multiprocessor benchmarks even when the hook is nil — the extra exit
-// path degrades register allocation for the inner vertex loop — so the
-// nil case delegates to the pristine loop instead.
-// TestHookedExecutorsMatchUnhooked pins the equivalence.
+// The hook is polled by the step driver here, never inside the vertex
+// loop: a hook branch in the hot loop cost 5–14% even when nil (the
+// extra exit path degrades register allocation), so the loop lives in
+// the non-inlined chargedStep, which has no exit path at all.
 func RunGuestHook(ma *Machine, prog Program, steps int, hook StepHook) ([]hram.Word, cost.Time, error) {
-	if hook == nil {
-		b, t := RunGuest(ma, prog, steps)
-		return b, t, nil
-	}
-	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuestHook needs P == N, got P=%d N=%d", ma.P, ma.N))
-	}
 	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
-	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		// Initial loading is free (Poke): inputs are assumed in place,
-		// as in the paper's model where (v, 0) holds the initial value.
-		for a := range raw {
-			raw[a] = 0
-		}
-		b[i] = prog.Init(i, raw)
-		for a, w := range raw {
-			ma.Nodes[i].Poke(a, w)
-		}
-	}
+	b := load(ma, prog)
 	prevB := make([]hram.Word, ma.P)
 	nbr := neighborLists(ma.topo, ma.P)
-	ops := make([]hram.Word, 0, 5)
+	ops := make([]hram.Word, 0, 7) // self + at most 2d = 6 neighbors
 	for t := 1; t <= steps; t++ {
-		if err := hook(ma.P); err != nil {
-			return nil, 0, err
+		if hook != nil {
+			if err := hook(ma.P); err != nil {
+				return nil, 0, err
+			}
 		}
 		copy(prevB, b)
-		for v := 0; v < ma.P; v++ {
-			addr := prog.Address(v, t, memSize)
-			cell := ma.Nodes[v].Read(addr)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, cell, ops)
-			ma.Nodes[v].Op()
-			ma.Nodes[v].Write(addr, cellOut)
-			// Neighbor exchange: receiving 2d values over distance
-			// Spacing() in parallel costs one link traversal.
-			ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-			b[v] = out
-		}
-		ma.Bank.Barrier()
+		chargedStep(ma, prog, t, nbr, b, prevB, ops)
 	}
 	return b, ma.Elapsed() - start, nil
 }
 
-// RunGuestParallel is RunGuest with the per-step node loop spread across
-// workers OS threads (0 = GOMAXPROCS). The model semantics are identical
-// — each node charges only its own meter and writes only its own memory
-// and broadcast slot, and the layers are separated by barriers — so
-// outputs and every node's virtual clock match the serial run exactly;
-// only wall-clock time changes. This is the executor the benchmarks use
-// for large guests.
-func RunGuestParallel(ma *Machine, prog Program, steps, workers int) ([]hram.Word, cost.Time) {
+// load fills every node of the fully parallel machine (P == N required)
+// from prog.Init and returns the initial broadcast values. Loading is
+// free (Poke): inputs are assumed in place, as in the paper's model
+// where (v, 0) holds the initial value.
+func load(ma *Machine, prog Program) []hram.Word {
 	if ma.P != ma.N {
-		panic(fmt.Sprintf("network: RunGuestParallel needs P == N, got P=%d N=%d", ma.P, ma.N))
+		panic(fmt.Sprintf("network: guest runs need P == N, got P=%d N=%d", ma.P, ma.N))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > ma.P {
-		workers = ma.P
-	}
-	start := ma.Elapsed()
-	memSize := ma.NodeMemory()
 	b := make([]hram.Word, ma.P)
-	raw := make([]hram.Word, memSize)
-	for i := 0; i < ma.P; i++ {
-		for a := range raw {
-			raw[a] = 0
-		}
+	raw := make([]hram.Word, ma.NodeMemory())
+	for i := range b {
+		clear(raw)
 		b[i] = prog.Init(i, raw)
 		for a, w := range raw {
 			ma.Nodes[i].Poke(a, w)
 		}
 	}
-	prevB := make([]hram.Word, ma.P)
-	nbr := neighborLists(ma.topo, ma.P)
-	chunk := (ma.P + workers - 1) / workers
-	var wg sync.WaitGroup
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > ma.P {
-				hi = ma.P
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				ops := make([]hram.Word, 0, 7)
-				for v := lo; v < hi; v++ {
-					addr := prog.Address(v, t, memSize)
-					cell := ma.Nodes[v].Read(addr)
-					ops = ops[:0]
-					ops = append(ops, prevB[v])
-					for _, u := range nbr[v] {
-						ops = append(ops, prevB[u])
-					}
-					out, cellOut := prog.Step(v, t, cell, ops)
-					ma.Nodes[v].Op()
-					ma.Nodes[v].Write(addr, cellOut)
-					ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
-					b[v] = out
-				}
-			}(lo, hi)
+	return b
+}
+
+// chargedStep executes synchronous step t on every node, reading the
+// previous broadcasts from prevB and writing the new ones to b, and
+// closes the step with a barrier. It is the one cost-charged vertex
+// loop; see RunGuestHook for why it must not be inlined.
+//
+//go:noinline
+func chargedStep(ma *Machine, prog Program, t int, nbr [][]int, b, prevB, ops []hram.Word) {
+	memSize := ma.NodeMemory()
+	for v := range b {
+		addr := prog.Address(v, t, memSize)
+		cell := ma.Nodes[v].Read(addr)
+		ops = ops[:0]
+		ops = append(ops, prevB[v])
+		for _, u := range nbr[v] {
+			ops = append(ops, prevB[u])
 		}
-		wg.Wait()
-		ma.Bank.Barrier()
+		out, cellOut := prog.Step(v, t, cell, ops)
+		ma.Nodes[v].Op()
+		ma.Nodes[v].Write(addr, cellOut)
+		// Neighbor exchange: receiving 2d values over distance
+		// Spacing() in parallel costs one link traversal.
+		ma.Bank.Proc(v).Charge(cost.Message, ma.Spacing())
+		b[v] = out
 	}
-	return b, ma.Elapsed() - start
+	ma.Bank.Barrier()
 }
 
 // RunGuestPure executes prog functionally with no cost accounting — the
@@ -386,101 +255,51 @@ func RunGuestParallel(ma *Machine, prog Program, steps, workers int) ([]hram.Wor
 // comes from a bare topology mesh: no machine (and no O(n·m) H-RAM
 // memory) is ever built for the functional replay.
 func RunGuestPure(d, n, m, steps int, prog Program) ([]hram.Word, [][]hram.Word) {
-	nbr := neighborLists(topology.NewMesh(d, n, n), n)
-	memSize := m // NodeMemory of the fully parallel machine: m·(n/n)
-	mems := make([][]hram.Word, n)
-	b := make([]hram.Word, n)
-	for i := 0; i < n; i++ {
-		mems[i] = make([]hram.Word, memSize)
-		b[i] = prog.Init(i, mems[i])
-	}
-	prevB := make([]hram.Word, n)
-	ops := make([]hram.Word, 0, 5)
-	for t := 1; t <= steps; t++ {
-		copy(prevB, b)
-		for v := 0; v < n; v++ {
-			addr := prog.Address(v, t, memSize)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, mems[v][addr], ops)
-			mems[v][addr] = cellOut
-			b[v] = out
-		}
-	}
+	b, mems, _ := RunGuestPureHook(d, n, m, steps, prog, nil)
 	return b, mems
 }
 
 // RunGuestPureHook is RunGuestPure with an optional per-step hook (nil
-// runs RunGuestPure itself). The functional replay is the CPU-dominant
-// part of the multiprocessor schemes, so this is where their
-// cancellation latency is bounded.
-//
-// As with RunGuestHook, the hooked loop duplicates RunGuestPure's loop
-// verbatim rather than branching inside it: the replay is this package's
-// hottest loop, and carrying the hook's error-exit path in it costs ~10%
-// even when nil. TestHookedExecutorsMatchUnhooked pins the equivalence.
+// runs no hook). The functional replay is the CPU-dominant part of the
+// multiprocessor schemes, so this is where their cancellation latency is
+// bounded. As in RunGuestHook, the driver polls the hook between steps
+// and the vertex loop lives in the non-inlined pureStep.
 func RunGuestPureHook(d, n, m, steps int, prog Program, hook StepHook) ([]hram.Word, [][]hram.Word, error) {
-	if hook == nil {
-		b, mems := RunGuestPure(d, n, m, steps, prog)
-		return b, mems, nil
-	}
 	nbr := neighborLists(topology.NewMesh(d, n, n), n)
-	memSize := m // NodeMemory of the fully parallel machine: m·(n/n)
 	mems := make([][]hram.Word, n)
 	b := make([]hram.Word, n)
-	for i := 0; i < n; i++ {
-		mems[i] = make([]hram.Word, memSize)
+	for i := range b {
+		mems[i] = make([]hram.Word, m) // NodeMemory of the fully parallel machine: m·(n/n)
 		b[i] = prog.Init(i, mems[i])
 	}
 	prevB := make([]hram.Word, n)
-	ops := make([]hram.Word, 0, 5)
+	ops := make([]hram.Word, 0, 7) // self + at most 2d = 6 neighbors
 	for t := 1; t <= steps; t++ {
-		if err := hook(n); err != nil {
-			return nil, nil, err
+		if hook != nil {
+			if err := hook(n); err != nil {
+				return nil, nil, err
+			}
 		}
 		copy(prevB, b)
-		for v := 0; v < n; v++ {
-			addr := prog.Address(v, t, memSize)
-			ops = ops[:0]
-			ops = append(ops, prevB[v])
-			for _, u := range nbr[v] {
-				ops = append(ops, prevB[u])
-			}
-			out, cellOut := prog.Step(v, t, mems[v][addr], ops)
-			mems[v][addr] = cellOut
-			b[v] = out
-		}
+		pureStep(prog, t, m, nbr, mems, b, prevB, ops)
 	}
 	return b, mems, nil
 }
 
-func intSqrt(n int) int {
-	if n < 0 {
-		return -1
+// pureStep executes synchronous step t functionally on every node: the
+// one pure vertex loop.
+//
+//go:noinline
+func pureStep(prog Program, t, memSize int, nbr [][]int, mems [][]hram.Word, b, prevB, ops []hram.Word) {
+	for v := range b {
+		addr := prog.Address(v, t, memSize)
+		ops = ops[:0]
+		ops = append(ops, prevB[v])
+		for _, u := range nbr[v] {
+			ops = append(ops, prevB[u])
+		}
+		out, cellOut := prog.Step(v, t, mems[v][addr], ops)
+		mems[v][addr] = cellOut
+		b[v] = out
 	}
-	r := int(math.Sqrt(float64(n)))
-	for r*r > n {
-		r--
-	}
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
-}
-
-func intCbrt(n int) int {
-	if n < 0 {
-		return -1
-	}
-	r := int(math.Cbrt(float64(n)))
-	for r*r*r > n {
-		r--
-	}
-	for (r+1)*(r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }

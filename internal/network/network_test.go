@@ -1,6 +1,8 @@
 package network
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -237,89 +239,89 @@ func TestPropertyIndexCoordInverse(t *testing.T) {
 	}
 }
 
-func TestRunGuestParallelMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 100} {
-		serial := New(1, 64, 64, 4)
-		outS, elS := RunGuest(serial, caProg{}, 16)
-		par := New(1, 64, 64, 4)
-		outP, elP := RunGuestParallel(par, caProg{}, 16, workers)
-		if elS != elP {
-			t.Fatalf("workers=%d: elapsed %v vs %v", workers, elS, elP)
-		}
-		for i := range outS {
-			if outS[i] != outP[i] {
-				t.Fatalf("workers=%d: node %d: %d vs %d", workers, i, outS[i], outP[i])
-			}
-		}
-		// Per-node clocks identical too.
-		for i := 0; i < serial.P; i++ {
-			if serial.Bank.Proc(i).Now() != par.Bank.Proc(i).Now() {
-				t.Fatalf("workers=%d: node %d clock mismatch", workers, i)
-			}
-		}
-	}
-}
-
-func TestRunGuestParallel2D(t *testing.T) {
-	serial := New(2, 64, 64, 2)
-	outS, _ := RunGuest(serial, caProg{}, 8)
-	par := New(2, 64, 64, 2)
-	outP, _ := RunGuestParallel(par, caProg{}, 8, 0)
-	for i := range outS {
-		if outS[i] != outP[i] {
-			t.Fatalf("node %d mismatch", i)
-		}
-	}
-}
-
-// The hooked executors duplicate the unhooked step loops for performance
-// (see RunGuestHook's doc comment); this pins the two copies together:
+// The hooked and unhooked executors share one step body per family, so
 // with a live always-nil hook, outputs, memories, virtual times, and
-// per-node clocks are bit-identical, and the hook observes every step.
+// per-node clocks are bit-identical, and the hook observes every step. A
+// hook that fails at step k aborts the run: its error comes back
+// unchanged, the hook ran exactly k times, and no outputs are returned.
 func TestHookedExecutorsMatchUnhooked(t *testing.T) {
-	const d, n, m, steps = 1, 32, 4, 16
+	const steps = 16
+	errStop := errors.New("stop")
+	for _, tc := range []struct {
+		name    string
+		abortAt int // hook call that fails; 0 never fails
+	}{
+		{"nil-hook", 0},
+		{"abort-at-5", 5},
+	} {
+		for _, g := range []struct{ d, n, m int }{{1, 32, 4}, {2, 36, 3}} {
+			name := fmt.Sprintf("%s/d=%d", tc.name, g.d)
+			calls := 0
+			hook := func(vertices int) error {
+				calls++
+				if vertices != g.n {
+					t.Fatalf("%s: hook vertices = %d, want %d", name, vertices, g.n)
+				}
+				if calls == tc.abortAt {
+					return errStop
+				}
+				return nil
+			}
 
-	base := New(d, n, n, m)
-	outB, timeB := RunGuest(base, caProg{}, steps)
-	hooked := New(d, n, n, m)
-	calls := 0
-	outH, timeH, err := RunGuestHook(hooked, caProg{}, steps, func(vertices int) error {
-		calls++
-		if vertices != n {
-			t.Fatalf("hook vertices = %d, want %d", vertices, n)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != steps {
-		t.Fatalf("hook ran %d times, want %d", calls, steps)
-	}
-	if timeH != timeB {
-		t.Fatalf("hooked time %v != unhooked %v", timeH, timeB)
-	}
-	for i := range outB {
-		if outB[i] != outH[i] {
-			t.Fatalf("node %d broadcast mismatch", i)
-		}
-		if base.Bank.Proc(i).Now() != hooked.Bank.Proc(i).Now() {
-			t.Fatalf("node %d clock mismatch", i)
-		}
-	}
+			base := New(g.d, g.n, g.n, g.m)
+			outB, timeB := RunGuest(base, caProg{}, steps)
+			hooked := New(g.d, g.n, g.n, g.m)
+			outH, timeH, err := RunGuestHook(hooked, caProg{}, steps, hook)
+			if tc.abortAt > 0 {
+				if err != errStop || calls != tc.abortAt || outH != nil || timeH != 0 {
+					t.Fatalf("%s charged: err %v, %d hook calls, %d outputs, time %v; want %v, %d, none, 0",
+						name, err, calls, len(outH), timeH, errStop, tc.abortAt)
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if calls != steps {
+					t.Fatalf("%s: hook ran %d times, want %d", name, calls, steps)
+				}
+				if timeH != timeB {
+					t.Fatalf("%s: hooked time %v != unhooked %v", name, timeH, timeB)
+				}
+				for i := range outB {
+					if outB[i] != outH[i] {
+						t.Fatalf("%s: node %d broadcast mismatch", name, i)
+					}
+					if base.Bank.Proc(i).Now() != hooked.Bank.Proc(i).Now() {
+						t.Fatalf("%s: node %d clock mismatch", name, i)
+					}
+				}
+			}
 
-	outP, memsP := RunGuestPure(d, n, m, steps, caProg{})
-	outPH, memsPH, err := RunGuestPureHook(d, n, m, steps, caProg{}, func(int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outP {
-		if outP[i] != outPH[i] {
-			t.Fatalf("pure node %d broadcast mismatch", i)
-		}
-		for a := range memsP[i] {
-			if memsP[i][a] != memsPH[i][a] {
-				t.Fatalf("pure node %d mem[%d] mismatch", i, a)
+			calls = 0
+			outP, memsP := RunGuestPure(g.d, g.n, g.m, steps, caProg{})
+			outPH, memsPH, err := RunGuestPureHook(g.d, g.n, g.m, steps, caProg{}, hook)
+			if tc.abortAt > 0 {
+				if err != errStop || calls != tc.abortAt || outPH != nil || memsPH != nil {
+					t.Fatalf("%s pure: err %v, %d hook calls, %d outputs, %d memories; want %v, %d, none, none",
+						name, err, calls, len(outPH), len(memsPH), errStop, tc.abortAt)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != steps {
+				t.Fatalf("%s: pure hook ran %d times, want %d", name, calls, steps)
+			}
+			for i := range outP {
+				if outP[i] != outPH[i] {
+					t.Fatalf("%s: pure node %d broadcast mismatch", name, i)
+				}
+				for a := range memsP[i] {
+					if memsP[i][a] != memsPH[i][a] {
+						t.Fatalf("%s: pure node %d mem[%d] mismatch", name, i, a)
+					}
+				}
 			}
 		}
 	}

@@ -38,9 +38,9 @@ import (
 // length instead of length times latency, and the locality slowdown
 // largely disappears (experiment E-PIPE).
 //
-// The recursion itself lives in blocked_exec.go, shared with BlockedD2
-// and BlockedD3; this wrapper supplies the line geometry: node id = x,
-// operand stencil (self, left, right), columns sorted by ascending x.
+// The recursion itself lives in blocked_exec.go and the entry body in
+// blockedContext, both shared with BlockedD2 and BlockedD3; this
+// dimension supplies the line geometry (lineBlocked).
 func BlockedD1(n, m, steps, leafWidth int, prog network.Program, opts ...hram.Option) (Result, error) {
 	return BlockedD1Context(context.Background(), n, m, steps, leafWidth, prog, opts...)
 }
@@ -51,21 +51,80 @@ func BlockedD1(n, m, steps, leafWidth int, prog network.Program, opts ...hram.Op
 // checks are host-side only, so a never-cancelled run's virtual times
 // are bit-identical to BlockedD1's.
 func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog network.Program, opts ...hram.Option) (Result, error) {
-	if e := validateBlocked(1, n, m, steps); e != nil {
+	return blockedContext(ctx, 1, n, m, steps, leafWidth, prog, opts...)
+}
+
+// rootedDag is a guest dag together with the separator domain that
+// covers it, where the blocked recursion starts.
+type rootedDag interface {
+	dag.Graph
+	Domain() lattice.Domain
+}
+
+// blockedDims indexes the per-dimension surface of the blocked scheme:
+// the guest dag of n nodes over steps steps and its blockedGeom.
+var blockedDims = [...]func(n, steps int) (rootedDag, blockedGeom){1: lineBlocked, 2: meshBlocked, 3: cubeBlocked}
+
+// blockedContext is the one body behind BlockedD{1,2,3}Context: validate,
+// pick the leaf span, build the dag and the f(x) = (x/m)^(1/d) H-RAM,
+// plan space, optionally memoize, execute the recursion, then collect
+// the outputs from machine memory (or replay them guest-side).
+func blockedContext(ctx context.Context, d, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
+	if e := validateBlocked(d, n, m, steps); e != nil {
 		return Result{}, e
 	}
-	if leafWidth <= 0 {
-		leafWidth = m
+	if leafSpan <= 0 {
+		leafSpan = m
 	}
-	if leafWidth < 2 {
-		leafWidth = 2
+	if leafSpan < 2 {
+		leafSpan = 2
 	}
-	g := dag.NewLineGraph(n, steps+1)
+	g, geom := blockedDims[d](n, steps)
 	iw, err := imageWords(prog, m)
 	if err != nil {
 		return Result{}, err
 	}
-	geom := blockedGeom{
+	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, geom)
+	root := g.Domain()
+	space, err := b.spaceNeeded(root)
+	if err != nil {
+		return Result{}, err
+	}
+	var meter cost.Meter
+	b.mach = hram.New(space, hram.Standard(d, m), &meter, opts...)
+	if memoEnabled(ctx) {
+		b.enableMemo(&meter)
+	}
+	if err := b.exec(root, space, 0); err != nil {
+		return Result{}, err
+	}
+	// Replayed subtrees charge the meter without writing machine memory,
+	// so when any subtree replayed the outputs are recomputed guest-side
+	// (value-independent charges make this sound; Verify still works).
+	var out []hram.Word
+	var mems [][]hram.Word
+	if b.replayed > 0 {
+		out, mems, err = network.RunGuestPureHook(d, n, m, steps, prog, b.ec.hook())
+	} else {
+		out, mems, err = b.collect(n)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Outputs:  out,
+		Memories: mems,
+		Time:     meter.Now(),
+		Ledger:   meter.Ledger,
+		Steps:    steps,
+		Space:    space,
+	}, nil
+}
+
+// lineBlocked is the d = 1 surface: node id = x, operand stencil
+// (self, left, right), columns sorted by ascending x.
+func lineBlocked(n, steps int) (rootedDag, blockedGeom) {
+	return dag.NewLineGraph(n, steps+1), blockedGeom{
 		nodeIndex: func(p lattice.Point) int { return p.X },
 		nodePos:   func(node int) lattice.Point { return lattice.Point{X: node} },
 		netPreds: func(p lattice.Point, buf []lattice.Point) []lattice.Point {
@@ -81,41 +140,6 @@ func BlockedD1Context(ctx context.Context, n, m, steps, leafWidth int, prog netw
 		},
 		sortCols: true,
 	}
-	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafWidth, geom)
-	root := g.Domain()
-	space, err := b.spaceNeeded(root)
-	if err != nil {
-		return Result{}, err
-	}
-	var meter cost.Meter
-	b.mach = hram.New(space, hram.Standard(1, m), &meter, opts...)
-	if memoEnabled(ctx) {
-		b.enableMemo(&meter)
-	}
-	if err := b.exec(root, space, 0); err != nil {
-		return Result{}, err
-	}
-	// Replayed subtrees charge the meter without writing machine memory,
-	// so when any subtree replayed the outputs are recomputed guest-side
-	// (value-independent charges make this sound; Verify still works).
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(1, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Outputs:  out,
-		Memories: mems,
-		Time:     meter.Now(),
-		Ledger:   meter.Ledger,
-		Steps:    steps,
-		Space:    space,
-	}, nil
 }
 
 // MemUser is an optional interface for programs that touch only the first

@@ -3,7 +3,6 @@ package simulate
 import (
 	"context"
 
-	"bsmp/internal/cost"
 	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
@@ -29,9 +28,8 @@ import (
 // executable-domain width that balances per-vertex access cost against
 // per-level relocation, the same tradeoff as d = 1).
 //
-// The recursion lives in blocked_exec.go, shared across dimensions; this
-// wrapper supplies the mesh geometry: node id = y*side+x, operand stencil
-// (self, W, E, S, N), columns in first-seen (T, X, Y) order.
+// The recursion and entry body are shared across dimensions (see
+// BlockedD1); this dimension supplies the mesh geometry (meshBlocked).
 func BlockedD2(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
 	return BlockedD2Context(context.Background(), n, m, steps, leafSpan, prog, opts...)
 }
@@ -39,26 +37,18 @@ func BlockedD2(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Opt
 // BlockedD2Context is BlockedD2 under a context; see BlockedD1Context
 // for the cancellation and progress contract.
 func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
-	if e := validateBlocked(2, n, m, steps); e != nil {
-		return Result{}, e
-	}
+	return blockedContext(ctx, 2, n, m, steps, leafSpan, prog, opts...)
+}
+
+// meshBlocked is the d = 2 surface: node id = y*side+x, operand stencil
+// (self, W, E, S, N), columns in first-seen (T, X, Y) order.
+func meshBlocked(n, steps int) (rootedDag, blockedGeom) {
 	side, _ := exactSqrt(n)
-	if leafSpan <= 0 {
-		leafSpan = m
-	}
-	if leafSpan < 2 {
-		leafSpan = 2
-	}
-	g := dag.NewMeshGraph(side, steps+1)
-	iw, err := imageWords(prog, m)
-	if err != nil {
-		return Result{}, err
-	}
 	// Node id ↔ coordinate maps come from the guest mesh topology; only
 	// the dag-layer predecessor stencil below stays lattice-local (its
 	// clipped W, E, S, N order mirrors topology Neighbors order).
 	mesh := topology.NewMesh2(n, n)
-	geom := blockedGeom{
+	return dag.NewMeshGraph(side, steps+1), blockedGeom{
 		nodeIndex: func(p lattice.Point) int { return mesh.Index(p.X, p.Y) },
 		nodePos: func(node int) lattice.Point {
 			gx, gy := mesh.Coord(node)
@@ -83,38 +73,4 @@ func BlockedD2Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 		},
 		side: side,
 	}
-	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, geom)
-	root := g.Domain()
-	space, err := b.spaceNeeded(root)
-	if err != nil {
-		return Result{}, err
-	}
-	var meter cost.Meter
-	b.mach = hram.New(space, hram.Standard(2, m), &meter, opts...)
-	if memoEnabled(ctx) {
-		b.enableMemo(&meter)
-	}
-	if err := b.exec(root, space, 0); err != nil {
-		return Result{}, err
-	}
-	// See BlockedD1Context: replay leaves machine memory stale, so any
-	// replayed subtree switches output collection to the pure guest run.
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(2, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Outputs:  out,
-		Memories: mems,
-		Time:     meter.Now(),
-		Ledger:   meter.Ledger,
-		Steps:    steps,
-		Space:    space,
-	}, nil
 }

@@ -3,7 +3,6 @@ package simulate
 import (
 	"context"
 
-	"bsmp/internal/cost"
 	"bsmp/internal/dag"
 	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
@@ -21,10 +20,8 @@ import (
 //
 // n must be a perfect cube; leafSpan <= 0 selects span m.
 //
-// The recursion lives in blocked_exec.go, shared across dimensions; this
-// wrapper supplies the cube geometry: node id = (z*side+y)*side+x,
-// operand stencil self then the six cube neighbors in Neighbors order
-// (W, E, S, N, D, U), columns in first-seen (T, X, Y, Z) order.
+// The recursion and entry body are shared across dimensions (see
+// BlockedD1); this dimension supplies the cube geometry (cubeBlocked).
 func BlockedD3(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
 	return BlockedD3Context(context.Background(), n, m, steps, leafSpan, prog, opts...)
 }
@@ -32,26 +29,19 @@ func BlockedD3(n, m, steps, leafSpan int, prog network.Program, opts ...hram.Opt
 // BlockedD3Context is BlockedD3 under a context; see BlockedD1Context
 // for the cancellation and progress contract.
 func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog network.Program, opts ...hram.Option) (Result, error) {
-	if e := validateBlocked(3, n, m, steps); e != nil {
-		return Result{}, e
-	}
+	return blockedContext(ctx, 3, n, m, steps, leafSpan, prog, opts...)
+}
+
+// cubeBlocked is the d = 3 surface: node id = (z*side+y)*side+x, operand
+// stencil self then the six cube neighbors in Neighbors order
+// (W, E, S, N, D, U), columns in first-seen (T, X, Y, Z) order.
+func cubeBlocked(n, steps int) (rootedDag, blockedGeom) {
 	side, _ := exactCbrt(n)
-	if leafSpan <= 0 {
-		leafSpan = m
-	}
-	if leafSpan < 2 {
-		leafSpan = 2
-	}
-	g := dag.NewCubeGraph(side, steps+1)
-	iw, err := imageWords(prog, m)
-	if err != nil {
-		return Result{}, err
-	}
 	// Node id ↔ coordinate maps come from the guest mesh topology; only
 	// the dag-layer predecessor stencil below stays lattice-local (its
 	// clipped W, E, S, N, D, U order mirrors topology Neighbors order).
 	mesh := topology.NewMesh3(n, n)
-	geom := blockedGeom{
+	return dag.NewCubeGraph(side, steps+1), blockedGeom{
 		nodeIndex: func(p lattice.Point) int { return mesh.Index3(p.X, p.Y, p.Z) },
 		nodePos: func(node int) lattice.Point {
 			gx, gy, gz := mesh.Coord3(node)
@@ -83,38 +73,4 @@ func BlockedD3Context(ctx context.Context, n, m, steps, leafSpan int, prog netwo
 		},
 		side: side,
 	}
-	b := newBlockedExec(ctx, g, prog, m, iw, steps, leafSpan, geom)
-	root := g.Domain()
-	space, err := b.spaceNeeded(root)
-	if err != nil {
-		return Result{}, err
-	}
-	var meter cost.Meter
-	b.mach = hram.New(space, hram.Standard(3, m), &meter, opts...)
-	if memoEnabled(ctx) {
-		b.enableMemo(&meter)
-	}
-	if err := b.exec(root, space, 0); err != nil {
-		return Result{}, err
-	}
-	// See BlockedD1Context: replay leaves machine memory stale, so any
-	// replayed subtree switches output collection to the pure guest run.
-	var out []hram.Word
-	var mems [][]hram.Word
-	if b.replayed > 0 {
-		out, mems, err = network.RunGuestPureHook(3, n, m, steps, prog, b.ec.hook())
-	} else {
-		out, mems, err = b.collect(n)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Outputs:  out,
-		Memories: mems,
-		Time:     meter.Now(),
-		Ledger:   meter.Ledger,
-		Steps:    steps,
-		Space:    space,
-	}, nil
 }

@@ -152,15 +152,7 @@ func multiFaultyScheme(d int) Scheme {
 			opts := cfg.Multi
 			opts.Faults, opts.FaultSeed = 0, 0 // consumed: the plan carries them
 			opts.faultDistMul, opts.faultMemMul = plan.distMul, plan.memMul
-			var res MultiResult
-			switch d {
-			case 1:
-				res, err = MultiD1Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			case 2:
-				res, err = MultiD2Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			default:
-				res, err = MultiD3Context(ctx, n, plan.pEff, m, steps, prog, opts)
-			}
+			res, err := multiByDim[d](ctx, n, plan.pEff, m, steps, prog, opts)
 			if err != nil {
 				return MultiResult{}, err
 			}

@@ -7,6 +7,7 @@ import (
 
 	"bsmp/internal/analytic"
 	"bsmp/internal/cost"
+	"bsmp/internal/hram"
 	"bsmp/internal/lattice"
 	"bsmp/internal/network"
 	"bsmp/internal/perm"
@@ -198,17 +199,8 @@ func MultiD1(n, p, m, steps int, prog network.Program, opts MultiOptions) (Multi
 // Progress. Checks are host-side only, so a never-cancelled run's
 // virtual times are bit-identical to MultiD1's.
 func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if p < 1 || n < p || n%p != 0 {
-		return MultiResult{}, fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
-	}
-	if m < 1 {
-		return MultiResult{}, perr("multi", "m", "memory density must be >= 1", m)
-	}
-	if steps < 1 {
-		return MultiResult{}, perr("multi", "steps", "guest step count must be >= 1", steps)
-	}
-	if e := validateTheta("multi", opts.Theta); e != nil {
-		return MultiResult{}, e
+	if err := validateMulti(n, p, m, steps, opts.Theta); err != nil {
+		return MultiResult{}, err
 	}
 	if p == 1 {
 		// Degenerate case: Theorem 3's machinery. A single processor
@@ -320,14 +312,9 @@ func MultiD1Context(ctx context.Context, n, p, m, steps int, prog network.Progra
 
 	// Functional execution (exact): the schedule above is a topological
 	// execution of the same dag, so the state evolution is the guest's.
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(1, n, m, steps, prog, ec.hook())
+	outs, mems, err := replayGuest(ec, 1, n, m, steps, prog)
 	if err != nil {
 		return MultiResult{}, err
-	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(steps))
-		replay.End()
 	}
 
 	return MultiResult{
@@ -369,15 +356,9 @@ func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network
 		return MultiResult{}, err
 	}
 	total := one.PrepTime + cost.Time(cycles)*one.Time
-	ec := newExecCtx(ctx)
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(1, n, m, cycles*n, prog, ec.hook())
+	outs, mems, err := replayGuest(newExecCtx(ctx), 1, n, m, cycles*n, prog)
 	if err != nil {
 		return MultiResult{}, err
-	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(cycles*n))
-		replay.End()
 	}
 	res := one
 	res.Outputs = outs
@@ -385,4 +366,44 @@ func MultiD1CyclesContext(ctx context.Context, n, p, m, cycles int, prog network
 	res.Time = total
 	res.Steps = cycles * n
 	return res, nil
+}
+
+// multiByDim indexes the multiprocessor engines by mesh dimension: the
+// one dispatch the multi, multi-theta and multi-faulty schemes share.
+var multiByDim = [...]func(ctx context.Context, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error){
+	1: MultiD1Context, 2: MultiD2Context, 3: MultiD3Context,
+}
+
+// validateMulti is the preamble every multiprocessor entry shares:
+// p | n, m >= 1, steps >= 1, and a valid delay ratio Θ.
+func validateMulti(n, p, m, steps int, theta float64) error {
+	if p < 1 || n < p || n%p != 0 {
+		return fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
+	}
+	if m < 1 {
+		return perr("multi", "m", "memory density must be >= 1", m)
+	}
+	if steps < 1 {
+		return perr("multi", "steps", "guest step count must be >= 1", steps)
+	}
+	if e := validateTheta("multi", theta); e != nil {
+		return e
+	}
+	return nil
+}
+
+// replayGuest advances the guest functionally (exactly) for steps steps,
+// traced as one "replay" span: the output half of every multiprocessor
+// entry, whose times come from the charged schedule instead.
+func replayGuest(ec *execCtx, d, n, m, steps int, prog network.Program) ([]hram.Word, [][]hram.Word, error) {
+	replay := ec.tr.Start("replay")
+	outs, mems, err := network.RunGuestPureHook(d, n, m, steps, prog, ec.hook())
+	if err != nil {
+		return nil, nil, err
+	}
+	if replay != nil {
+		replay.SetAttr("vertices", float64(n)*float64(steps))
+		replay.End()
+	}
+	return outs, mems, nil
 }

@@ -400,17 +400,8 @@ func multiSpanCost(ctx context.Context, g *multiGeom, n, p, m, steps, s int, opt
 // charge the chosen schedule with phase attribution, and advance the
 // guest functionally (exactly).
 func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog network.Program, opts MultiOptions) (MultiResult, error) {
-	if p < 1 || n < p || n%p != 0 {
-		return MultiResult{}, fmt.Errorf("simulate: need p | n, got n=%d p=%d", n, p)
-	}
-	if m < 1 {
-		return MultiResult{}, perr("multi", "m", "memory density must be >= 1", m)
-	}
-	if steps < 1 {
-		return MultiResult{}, perr("multi", "steps", "guest step count must be >= 1", steps)
-	}
-	if e := validateTheta("multi", opts.Theta); e != nil {
-		return MultiResult{}, e
+	if err := validateMulti(n, p, m, steps, opts.Theta); err != nil {
+		return MultiResult{}, err
 	}
 	if e := g.checkShape(n); e != nil {
 		return MultiResult{}, e
@@ -468,14 +459,9 @@ func multiSpan(ctx context.Context, g *multiGeom, n, p, m, steps int, prog netwo
 		exchCat: cost.Message,
 	}, opts.delayModel())
 
-	replay := ec.tr.Start("replay")
-	outs, mems, err := network.RunGuestPureHook(g.d, n, m, steps, prog, ec.hook())
+	outs, mems, err := replayGuest(ec, g.d, n, m, steps, prog)
 	if err != nil {
 		return MultiResult{}, err
-	}
-	if replay != nil {
-		replay.SetAttr("vertices", float64(n)*float64(steps))
-		replay.End()
 	}
 	return MultiResult{
 		Result: Result{

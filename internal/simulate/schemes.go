@@ -27,7 +27,8 @@ type SchemeConfig struct {
 // program with a dag view. Every scheme returns a MultiResult; the
 // multiprocessor accounting fields are zero for uniprocessor schemes.
 type Scheme struct {
-	// Name is the registry key: "naive", "unidc", "blocked" or "multi".
+	// Name is the registry key: "naive", "unidc", "blocked",
+	// "blocked-analytic", "multi", "multi-theta" or "multi-faulty".
 	Name string
 	// D is the mesh dimension the entry serves.
 	D int
@@ -126,16 +127,7 @@ func blockedScheme(d int) Scheme {
 		Description: "blocked uniprocessor scheme for general m (Thm. 3), slowdown Θ(n·min(n, m·Log(n/m)))",
 		Validate:    uniprocOnly("blocked", d),
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			var r Result
-			var err error
-			switch d {
-			case 1:
-				r, err = BlockedD1Context(ctx, n, m, steps, cfg.Leaf, prog)
-			case 2:
-				r, err = BlockedD2Context(ctx, n, m, steps, cfg.Leaf, prog)
-			default:
-				r, err = BlockedD3Context(ctx, n, m, steps, cfg.Leaf, prog)
-			}
+			r, err := blockedContext(ctx, d, n, m, steps, cfg.Leaf, prog)
 			return MultiResult{Result: r}, err
 		},
 	}
@@ -173,14 +165,7 @@ func multiScheme(d int) Scheme {
 			return shapeError("multi", "n", d, n)
 		},
 		Run: func(ctx context.Context, n, p, m, steps int, prog network.Program, cfg SchemeConfig) (MultiResult, error) {
-			switch d {
-			case 1:
-				return MultiD1Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			case 2:
-				return MultiD2Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			default:
-				return MultiD3Context(ctx, n, p, m, steps, prog, cfg.Multi)
-			}
+			return multiByDim[d](ctx, n, p, m, steps, prog, cfg.Multi)
 		},
 	}
 }
@@ -211,14 +196,7 @@ func multiThetaScheme(d int) Scheme {
 			if opts.Theta == 0 {
 				opts.Theta = 1
 			}
-			switch d {
-			case 1:
-				return MultiD1Context(ctx, n, p, m, steps, prog, opts)
-			case 2:
-				return MultiD2Context(ctx, n, p, m, steps, prog, opts)
-			default:
-				return MultiD3Context(ctx, n, p, m, steps, prog, opts)
-			}
+			return multiByDim[d](ctx, n, p, m, steps, prog, opts)
 		},
 	}
 }

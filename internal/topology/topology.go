@@ -57,8 +57,9 @@ type mesh struct {
 	spacing        float64
 }
 
-// newMesh validates and builds the shared mesh body. The constraints
-// and the spacing expression mirror network.New exactly.
+// newMesh validates and builds the shared mesh body. It is the one home
+// of the mesh shape constraints; the spacing expression is the
+// historical network.New form.
 func newMesh(d, n, p int) mesh {
 	if d < 1 || d > 3 {
 		panic(fmt.Sprintf("topology: dimension %d not in {1,2,3}", d))
@@ -189,16 +190,19 @@ type Mesh3 struct{ mesh }
 func NewMesh3(n, p int) *Mesh3 { return &Mesh3{newMesh(3, n, p)} }
 
 // NewMesh dispatches on the dimension: the p-node d-mesh of a volume-n
-// machine. It panics on malformed geometry exactly like network.New —
-// callers on the service boundary validate first (simulate.ValidateParams).
+// machine. It panics on malformed geometry (d outside {1, 2, 3}, p not
+// dividing n, a non-square or non-cube shape); network.New relies on it
+// for exactly these checks, and callers on the service boundary
+// validate first (simulate.ValidateParams).
 func NewMesh(d, n, p int) Topology {
+	m := newMesh(d, n, p)
 	switch d {
 	case 1:
-		return NewMesh1(n, p)
+		return &Mesh1{m}
 	case 2:
-		return NewMesh2(n, p)
+		return &Mesh2{m}
 	default:
-		return NewMesh3(n, p)
+		return &Mesh3{m}
 	}
 }
 

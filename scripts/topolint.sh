@@ -13,9 +13,11 @@
 #      (lattice.Indexer's Index(p Point) maps lattice points, not grid
 #      nodes, and is excluded by the int-signature anchor — as are call
 #      sites like ma.Coord(i), which do not start with "func (");
-#   2. a private integer-root helper (intSqrt/intCbrt) outside those two
-#      packages (analytic.IntSqrtExact is the exported, panicking sibling
-#      and intentionally distinct).
+#   2. a private integer-root helper (intSqrt/intCbrt) outside
+#      internal/topology itself — the network facade delegates shape
+#      checks to topology.NewMesh and needs no roots of its own
+#      (analytic.IntSqrtExact is the exported, panicking sibling and
+#      intentionally distinct).
 #
 # Run from the repository root: scripts/topolint.sh
 set -euo pipefail
@@ -32,9 +34,9 @@ if [ -n "$GEOM" ]; then
 fi
 
 ROOTS=$(grep -rnE '\b(intSqrt|intCbrt)\b' --include='*.go' . |
-  grep -v '^\./internal/topology/' | grep -v '^\./internal/network/' || true)
+  grep -v '^\./internal/topology/' || true)
 if [ -n "$ROOTS" ]; then
-  echo "topolint: private integer-root helpers referenced outside internal/topology + internal/network:" >&2
+  echo "topolint: private integer-root helpers referenced outside internal/topology:" >&2
   echo "$ROOTS" >&2
   fail=1
 fi
