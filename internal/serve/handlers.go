@@ -175,42 +175,16 @@ const maxRunBody = 1 << 16
 
 // handleRun serves POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method", "use POST", nil)
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is shutting down", nil)
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "body", fmt.Sprintf("malformed request body: %v", err), nil)
+	if !s.decodePost(w, r, maxRunBody, "request", &req) {
 		return
 	}
-	if req.Guest == "" {
-		req.Guest = "mixca"
+	detail := checkGuest(req.Scheme, &req.Guest)
+	if detail == nil {
+		detail = s.admit(req)
 	}
-	if req.Guest != "mixca" && req.Guest != "rule90" {
-		writeError(w, http.StatusBadRequest, "param", "unknown guest",
-			&bsmp.ParamError{Scheme: req.Scheme, Field: "guest",
-				Constraint: `must be "mixca" or "rule90"`, Got: req.Guest})
-		return
-	}
-	if pe := s.checkCaps(req); pe != nil {
-		writeError(w, http.StatusBadRequest, "param", pe.Error(), pe)
-		return
-	}
-	if err := bsmp.ValidateParams(req.Scheme, req.D, req.N, req.P, req.M, req.Steps, req.schemeConfig()); err != nil {
-		var pe *bsmp.ParamError
-		if !errors.As(err, &pe) {
-			// Registry lookup failure: surface it on the scheme field.
-			pe = &bsmp.ParamError{Scheme: req.Scheme, Field: "scheme",
-				Constraint: "must be a registered (scheme, d) pair", Got: req.Scheme}
-		}
-		writeError(w, http.StatusBadRequest, "param", err.Error(), pe)
+	if detail != nil {
+		writeError(w, http.StatusBadRequest, detail.Kind, detail.Message, detail.Param)
 		return
 	}
 
@@ -221,26 +195,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// theta_seed is inert), so they must share one cache entry and one
 	// execution instead of duplicating both.
 	req = req.canonical()
-	key := cacheKey(req)
 	if req.Trace {
-		// Traced runs bypass the cache in both directions — the timeline
-		// must come from a real execution — but share a distinct flight
-		// key so identical concurrent traced queries still coalesce.
-		key += "|trace"
-		s.vars.Add("traced_runs", 1)
+		s.ctr.TracedRuns.Add(1)
+	} else if resp, ok := s.cached(cacheKey(req)); ok {
+		s.ctr.CacheHits.Add(1)
+		writeJSON(w, http.StatusOK, resp)
+		return
 	} else {
-		if v, ok := s.cache.Get(key); ok {
-			s.vars.Add("cache_hits", 1)
-			resp := *v.(*RunResponse)
-			resp.Cached = true
-			// Attribute the hit to the execution whose result this is; the
-			// response keeps that original run's ID, so the client can still
-			// join the row to the record that actually ran.
-			s.registry.Get(resp.RunID).AddCacheHit()
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		s.vars.Add("cache_misses", 1)
+		s.ctr.CacheMisses.Add(1)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -249,57 +211,159 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// every in-flight simulation through the same context chain.
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
-	v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
-		// One registry record per execution, created inside the flight
-		// closure: coalesced followers share the leader's record.
-		rec := s.beginRun(req, "run")
-		v, err := s.pool.Do(ctx, func(jctx context.Context) (any, error) {
-			rec.h.Running()
-			resp, err := s.runScheme(rec.attach(jctx), req)
-			if err == nil {
-				s.vars.Add("runs", 1)
-				resp.RunID = rec.h.ID()
-				if !req.Trace {
-					s.cache.Add(key, resp)
-				}
-			}
-			return resp, err
-		})
-		resp, _ := v.(*RunResponse)
-		s.finishRun(rec, resp, err)
-		return v, err
-	})
+	resp, shared, err := s.runShared(ctx, req, "run", s.pool.Do)
 	if shared {
-		s.vars.Add("coalesced", 1)
+		s.ctr.Coalesced.Add(1)
 	}
 	if err != nil {
-		s.writeRunError(w, err)
+		status, detail := s.classifyRunError(err)
+		writeError(w, status, detail.Kind, detail.Message, detail.Param)
 		return
 	}
-	resp := *v.(*RunResponse)
-	resp.Coalesced = shared
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// classifyRunError maps an execution failure onto the HTTP surface — the
-// status code and structured error detail — and counts it. Shared by the
-// single-run handler (which writes it as the whole response) and the
-// sweep handler (which embeds it in the failing row).
-func (s *Server) classifyRunError(err error) (int, ErrorDetail) {
+// decodePost admits a POST body into dst: the method, the drain state,
+// then a size-bounded decode that rejects unknown fields. On failure it
+// writes the error response and returns false.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, limit int64, what string, dst any) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method", "use POST", nil)
+		return false
+	}
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, "draining", "server is shutting down", nil)
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		writeError(w, http.StatusBadRequest, "body", fmt.Sprintf("malformed %s body: %v", what, err), nil)
+		return false
+	}
+	return true
+}
+
+// checkGuest defaults an empty guest to mixca in place, or rejects an
+// unknown one. /v1/run checks its one tuple; /v1/sweep checks once per
+// grid, with no scheme to name.
+func checkGuest(scheme string, guest *string) *ErrorDetail {
+	if *guest == "" {
+		*guest = "mixca"
+	}
+	if *guest != "mixca" && *guest != "rule90" {
+		return &ErrorDetail{Kind: "param", Message: "unknown guest",
+			Param: &bsmp.ParamError{Scheme: scheme, Field: "guest",
+				Constraint: `must be "mixca" or "rule90"`, Got: *guest}}
+	}
+	return nil
+}
+
+// admit applies the validation chain — server caps, then registry
+// validation — to one run request or sweep grid point.
+func (s *Server) admit(req RunRequest) *ErrorDetail {
+	if pe := s.checkCaps(req); pe != nil {
+		return &ErrorDetail{Kind: "param", Message: pe.Error(), Param: pe}
+	}
+	if err := bsmp.ValidateParams(req.Scheme, req.D, req.N, req.P, req.M, req.Steps, req.schemeConfig()); err != nil {
+		var pe *bsmp.ParamError
+		if !errors.As(err, &pe) {
+			// Registry lookup failure: surface it on the scheme field.
+			pe = &bsmp.ParamError{Scheme: req.Scheme, Field: "scheme",
+				Constraint: "must be a registered (scheme, d) pair", Got: req.Scheme}
+		}
+		return &ErrorDetail{Kind: "param", Message: err.Error(), Param: pe}
+	}
+	return nil
+}
+
+// cached probes the result LRU for a copy of key's response marked
+// Cached. The copy keeps the run_id of the execution that produced it,
+// and that record is credited with the hit. Callers count the hit.
+func (s *Server) cached(key string) (*RunResponse, bool) {
+	v, ok := s.cache.Get(key)
+	if !ok {
+		return nil, false
+	}
+	resp := *v.(*RunResponse)
+	resp.Cached = true
+	s.registry.Get(resp.RunID).AddCacheHit()
+	return &resp, true
+}
+
+// flightKey is a canonical request's coalescing key. Traced runs bypass
+// the cache — their timeline must come from a real execution — so they
+// take a key shared only with identical traced queries.
+func flightKey(req RunRequest) string {
+	if req.Trace {
+		return cacheKey(req) + "|trace"
+	}
+	return cacheKey(req)
+}
+
+// runShared executes a canonical request for /v1/run or a sweep row:
+// coalesce on its flight key, record the execution under source, submit
+// the job (Pool.Do or poolDoRetry) and cache an untraced result. It
+// returns a response copy and whether it was shared from another
+// caller's execution.
+func (s *Server) runShared(ctx context.Context, req RunRequest, source string,
+	submit func(context.Context, func(context.Context) (any, error)) (any, error)) (*RunResponse, bool, error) {
+	key := flightKey(req)
+	for {
+		v, err, shared := s.flight.Do(ctx, key, func() (any, error) {
+			// One registry record per execution, created inside the flight
+			// closure: coalesced followers share the leader's record.
+			rec := s.beginRun(req, source)
+			v, err := submit(ctx, func(jctx context.Context) (any, error) {
+				// Bounds a sweep row; /v1/run's own request deadline is
+				// earlier, so this never fires first there.
+				jctx, cancel := context.WithTimeout(jctx, s.cfg.RequestTimeout)
+				defer cancel()
+				rec.h.Running()
+				resp, err := s.runScheme(rec.attach(jctx), req)
+				if err == nil {
+					s.ctr.Runs.Add(1)
+					resp.RunID = rec.h.ID()
+					if !req.Trace {
+						s.cache.Add(key, resp)
+					}
+				}
+				return resp, err
+			})
+			resp, _ := v.(*RunResponse)
+			s.finishRun(rec, resp, err)
+			return v, err
+		})
+		// A leader's cancellation or deadline belongs to the leader's
+		// client. A follower whose own context is still live leads or
+		// follows again instead of inheriting it.
+		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue
+		}
+		if err != nil {
+			return nil, shared, err
+		}
+		resp := *v.(*RunResponse)
+		resp.Coalesced = shared
+		return &resp, shared, nil
+	}
+}
+
+// errorClass is the execution-error taxonomy: the HTTP status and
+// structured detail a failure is answered with, and the terminal state
+// its registry record lands in.
+func errorClass(err error) (int, ErrorDetail, string) {
 	var pe *bsmp.ParamError
 	var pz *PanicError
 	switch {
 	case errors.As(err, &pz):
-		s.vars.Add("panics_recovered", 1)
-		return http.StatusInternalServerError, ErrorDetail{Kind: "internal", Message: err.Error()}
+		return http.StatusInternalServerError, ErrorDetail{Kind: "internal", Message: err.Error()}, obs.RunFailed
 	case errors.Is(err, ErrQueueFull):
-		s.vars.Add("queue_rejects", 1)
-		return http.StatusTooManyRequests, ErrorDetail{Kind: "queue_full", Message: err.Error()}
+		return http.StatusTooManyRequests, ErrorDetail{Kind: "queue_full", Message: err.Error()}, obs.RunShed
 	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, ErrorDetail{Kind: "draining", Message: err.Error()}
+		return http.StatusServiceUnavailable, ErrorDetail{Kind: "draining", Message: err.Error()}, obs.RunShed
 	case errors.Is(err, context.DeadlineExceeded):
-		s.vars.Add("deadline_timeouts", 1)
-		return http.StatusGatewayTimeout, ErrorDetail{Kind: "deadline", Message: "request deadline exceeded"}
+		return http.StatusGatewayTimeout, ErrorDetail{Kind: "deadline", Message: "request deadline exceeded"}, obs.RunCancelled
 	case errors.Is(err, context.Canceled):
 		// A cancelled context is the caller abandoning the request (client
 		// disconnect, sweep abort, shutdown hard-stop), not a deadline:
@@ -309,20 +373,31 @@ func (s *Server) classifyRunError(err error) (int, ErrorDetail) {
 		// (runs_cancelled in execute, sweeps_cancelled per sweep). The
 		// status follows the nginx 499 convention; the peer is usually
 		// gone before it is written.
-		return 499, ErrorDetail{Kind: "cancelled", Message: "request cancelled"}
+		return 499, ErrorDetail{Kind: "cancelled", Message: "request cancelled"}, obs.RunCancelled
 	case errors.As(err, &pe):
-		return http.StatusBadRequest, ErrorDetail{Kind: "param", Message: err.Error(), Param: pe}
+		return http.StatusBadRequest, ErrorDetail{Kind: "param", Message: err.Error(), Param: pe}, obs.RunFailed
 	default:
 		// Remaining failures are tuple/config mismatches reported by the
 		// scheme itself (e.g. a strip width that does not divide n/p).
-		return http.StatusBadRequest, ErrorDetail{Kind: "param", Message: err.Error()}
+		return http.StatusBadRequest, ErrorDetail{Kind: "param", Message: err.Error()}, obs.RunFailed
 	}
 }
 
-// writeRunError maps an execution failure onto the HTTP surface.
-func (s *Server) writeRunError(w http.ResponseWriter, err error) {
-	status, detail := s.classifyRunError(err)
-	writeError(w, status, detail.Kind, detail.Message, detail.Param)
+// classifyRunError maps an execution failure onto the HTTP surface and
+// counts it. Shared by the single-run handler (which writes it as the
+// whole response) and the sweep handler (which embeds it in the failing
+// row).
+func (s *Server) classifyRunError(err error) (int, ErrorDetail) {
+	status, detail, _ := errorClass(err)
+	switch status {
+	case http.StatusInternalServerError:
+		s.ctr.PanicsRecovered.Add(1)
+	case http.StatusTooManyRequests:
+		s.ctr.QueueRejects.Add(1)
+	case http.StatusGatewayTimeout:
+		s.ctr.DeadlineTimeouts.Add(1)
+	}
+	return status, detail
 }
 
 // checkCaps enforces the server-side size limits — valid paper geometry
@@ -349,7 +424,6 @@ func (s *Server) checkCaps(req RunRequest) *bsmp.ParamError {
 // schemes still reject an explicit theta), canonicalization only
 // collapses spellings the engines treat identically:
 //
-//   - guest "" is the documented mixca default;
 //   - theta 1 is exactly the lockstep default the multi-theta scheme
 //     normalizes an unset (0) theta to, bit-identical by the Θ = 1
 //     golden tests;
@@ -360,9 +434,6 @@ func (s *Server) checkCaps(req RunRequest) *bsmp.ParamError {
 //     (a zero-density mask kills nothing for every seed, bit-identical
 //     by the fault golden tests), so it resets to 0 with faults 0.
 func (req RunRequest) canonical() RunRequest {
-	if req.Guest == "" {
-		req.Guest = "mixca"
-	}
 	if req.Config.Theta == 1 {
 		req.Config.Theta = 0
 	}
@@ -464,34 +535,23 @@ func (s *Server) beginRun(req RunRequest, source string) *runRecord {
 	return rec
 }
 
-// attach injects the record's telemetry into the job context; execute
-// picks both up instead of allocating its own.
+// attach injects the record's telemetry into the job context, where
+// execute picks both up (a nil tracer reads as none).
 func (rec *runRecord) attach(ctx context.Context) context.Context {
-	ctx = bsmp.WithProgress(ctx, rec.prog)
-	if rec.tr != nil {
-		ctx = bsmp.WithTracer(ctx, rec.tr)
-	}
-	return ctx
+	return bsmp.WithTracer(bsmp.WithProgress(ctx, rec.prog), rec.tr)
 }
 
 // finishRun lands the execution's terminal record: lifecycle state from
-// the error classification, virtual times, per-phase attribution with
-// wall durations joined from the span timeline, the cost ledger, and
-// the span tree itself for the full-record endpoint.
+// errorClass, virtual times, per-phase attribution with wall durations
+// joined from the span timeline, the cost ledger, and the span tree
+// itself for the full-record endpoint.
 func (s *Server) finishRun(rec *runRecord, resp *RunResponse, err error) {
-	if rec == nil || rec.h == nil {
+	if rec.h == nil {
 		return
 	}
-	var state string
-	switch {
-	case err == nil:
-		state = obs.RunDone
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		state = obs.RunShed
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		state = obs.RunCancelled
-	default:
-		state = obs.RunFailed
+	state := obs.RunDone
+	if err != nil {
+		_, _, state = errorClass(err)
 	}
 	roots := rec.tr.Roots()
 	rec.h.Finish(state, func(info *obs.RunInfo) {
@@ -534,25 +594,13 @@ func phaseSummaries(phases []PhaseTime, roots []*bsmp.Span) []obs.PhaseSummary {
 
 // execute runs a validated request through the scheme registry — the
 // production runScheme implementation. The simulation runs under ctx
-// with a registered Progress, so cancelling ctx (client disconnect,
-// deadline, hard shutdown) stops it at its next checkpoint and /metrics
-// sees its live step counters while it runs.
+// with the run record's Progress and Tracer (runRecord.attach), so
+// cancelling ctx (client disconnect, deadline, hard shutdown) stops it
+// at its next checkpoint, and /metrics and the record sample the same
+// live counters the engines feed.
 func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, error) {
 	cfg := req.schemeConfig()
-	// The run-registry wrapper (beginRun.attach) usually supplies the
-	// progress meter and tracer so the record samples the same telemetry
-	// the engines feed; allocate them here only when execute is driven
-	// directly (registry disabled, or tests calling runScheme).
-	prog := bsmp.ProgressFrom(ctx)
-	if prog == nil {
-		prog = new(bsmp.Progress)
-		ctx = bsmp.WithProgress(ctx, prog)
-	}
-	tr := bsmp.TracerFrom(ctx)
-	if tr == nil && req.Trace {
-		tr = bsmp.NewTracer()
-		ctx = bsmp.WithTracer(ctx, tr)
-	}
+	prog, tr := bsmp.ProgressFrom(ctx), bsmp.TracerFrom(ctx)
 	id := RequestIDFrom(ctx)
 	s.log.Info("run start", "id", id, "scheme", req.Scheme, "d", req.D,
 		"n", req.N, "p", req.P, "m", req.M, "steps", req.Steps,
@@ -570,7 +618,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 	elapsed := time.Since(start)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.vars.Add("runs_cancelled", 1)
+			s.ctr.RunsCancelled.Add(1)
 		}
 		s.log.Warn("run failed", "id", id, "scheme", req.Scheme,
 			"dur_ms", float64(elapsed.Nanoseconds())/1e6, "err", err.Error())
@@ -611,7 +659,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest) (*RunResponse, err
 	// The inline timeline stays opt-in: untraced runs may still carry a
 	// registry tracer for the flight recorder, but their responses (and
 	// cache entries) must not grow a span tree nobody asked for.
-	if req.Trace && tr != nil {
+	if req.Trace {
 		resp.Trace = tr.Roots()
 		resp.traceEpoch = tr.Epoch()
 	}

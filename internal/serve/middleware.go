@@ -52,7 +52,7 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.vars.Add("panics_recovered", 1)
+				s.ctr.PanicsRecovered.Add(1)
 				log.Printf("serve: recovered panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 				// Best effort: if the handler already wrote a partial
 				// body this write is a no-op on the status line.
@@ -82,7 +82,7 @@ func RequestIDFrom(ctx context.Context) string {
 // request.
 func (s *Server) withCounters(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.vars.Add("requests", 1)
+		s.ctr.Requests.Add(1)
 		id := fmt.Sprintf("%s-%d", s.bootID, s.reqSeq.Add(1))
 		w.Header().Set("X-Request-Id", id)
 		r = r.WithContext(context.WithValue(r.Context(), reqIDKeyType{}, id))
@@ -92,11 +92,11 @@ func (s *Server) withCounters(next http.Handler) http.Handler {
 		status := cw.status()
 		switch {
 		case status >= 500:
-			s.vars.Add("responses_5xx", 1)
+			s.ctr.Responses5xx.Add(1)
 		case status >= 400:
-			s.vars.Add("responses_4xx", 1)
+			s.ctr.Responses4xx.Add(1)
 		default:
-			s.vars.Add("responses_2xx", 1)
+			s.ctr.Responses2xx.Add(1)
 		}
 		s.log.Info("request",
 			"id", id,

@@ -154,7 +154,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	poll := clampQueryMS(r, "poll_ms", defEventPollMS, minEventPollMS, maxEventPollMS)
 	heartbeat := clampQueryMS(r, "heartbeat_ms", defHeartbeatMS, minHeartbeatMS, 1<<20)
-	s.vars.Add("run_events_streams", 1)
+	s.ctr.RunEventsStreams.Add(1)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -8,6 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -534,11 +537,42 @@ func TestShedRunRecorded(t *testing.T) {
 	close(block)
 }
 
+// counterNames lists the expvar name of every typed counter field.
+func counterNames() []string {
+	typ := reflect.TypeOf(counters{})
+	names := make([]string, typ.NumField())
+	for i := range names {
+		names[i] = typ.Field(i).Tag.Get("expvar")
+	}
+	return names
+}
+
 // TestMetricsPromRegistrySeries checks the registry's Prometheus
 // surface: active-run gauges, terminal-state counters, per-phase
-// histograms, quantile gauges, and that every declared counter renders.
+// histograms, quantile gauges, and that every counter renders on both
+// /metrics and /metrics.prom from boot.
 func TestMetricsPromRegistrySeries(t *testing.T) {
 	s := New(Config{})
+	// From boot, before any increment: each counter field has a /metrics
+	// key and a /metrics.prom series.
+	var boot struct {
+		Bsmp map[string]json.RawMessage `json:"bsmp"`
+	}
+	getJSON(t, s.Handler(), "/metrics", &boot)
+	bootProm := httptest.NewRecorder()
+	s.Handler().ServeHTTP(bootProm, httptest.NewRequest(http.MethodGet, "/metrics.prom", nil))
+	for _, name := range counterNames() {
+		if name == "" {
+			t.Fatal("counter field without an expvar tag")
+		}
+		if _, ok := boot.Bsmp[name]; !ok {
+			t.Errorf("counter %q missing from /metrics at boot", name)
+		}
+		if !strings.Contains(bootProm.Body.String(), "bsmpd_"+name+" ") {
+			t.Errorf("counter %q missing from /metrics.prom at boot", name)
+		}
+	}
+
 	if w := postRun(t, s.Handler(), validRun); w.Code != http.StatusOK {
 		t.Fatalf("run status = %d", w.Code)
 	}
@@ -567,11 +601,38 @@ func TestMetricsPromRegistrySeries(t *testing.T) {
 	if strings.Contains(body, "bsmpd_theta_run_latency_seconds_quantile") {
 		t.Error("empty theta histogram rendered quantile gauges")
 	}
-	// Every declared counter renders on the Prometheus surface even
-	// before its first increment — the promlint contract.
-	for _, name := range counterNames {
+	for _, name := range counterNames() {
 		if !strings.Contains(body, "bsmpd_"+name+" ") {
-			t.Errorf("declared counter %q missing from metrics.prom", name)
+			t.Errorf("counter %q missing from metrics.prom", name)
+		}
+	}
+}
+
+// TestCounterFieldsIncremented fails when a counter field has no .Add(
+// site in the package's non-test source: a declared counter nothing
+// bumps is dead telemetry. (An increment of an undeclared counter does
+// not compile.)
+func TestCounterFieldsIncremented(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src strings.Builder
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Write(b)
+	}
+	typ := reflect.TypeOf(counters{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if !strings.Contains(src.String(), "."+name+".Add(") {
+			t.Errorf("counter field %s (%q) is never incremented", name, typ.Field(i).Tag.Get("expvar"))
 		}
 	}
 }

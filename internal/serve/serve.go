@@ -55,9 +55,11 @@ type Config struct {
 	// CacheEntries sizes the result LRU (default 512; negative
 	// disables caching).
 	CacheEntries int
-	// RequestTimeout is the per-request deadline for /v1/run (default
-	// 30s). Requests that exceed it get 504; their simulation finishes
-	// in the background and still fills the cache.
+	// RequestTimeout is the per-request deadline for /v1/run and the
+	// per-row execution bound for /v1/sweep (default 30s). A run that
+	// exceeds it gets 504 (a deadline error row in a sweep): the
+	// deadline cancels the simulation at its next checkpoint, freeing
+	// its worker, and nothing is cached.
 	RequestTimeout time.Duration
 	// MaxN, MaxM, MaxSteps cap request parameters so a single query
 	// cannot exhaust memory; violations get a structured 400 (defaults
@@ -134,6 +136,7 @@ type Server struct {
 	pool     *Pool
 	flight   flightGroup
 	vars     *expvar.Map
+	ctr      counters
 	handler  http.Handler
 	httpSrv  *http.Server
 	draining atomic.Bool
@@ -169,13 +172,14 @@ type Server struct {
 	inflightMu sync.Mutex
 	inflight   map[*bsmp.Progress]struct{}
 
-	// sweepsLive registers every streaming sweep for the live gauges;
-	// sweepSem bounds total sweep-held pool slots across all concurrent
-	// sweeps; sweepRowHist feeds bsmpd_sweep_row_latency_seconds.
-	sweepMu      sync.Mutex
-	sweepsLive   map[*sweepProgress]struct{}
-	sweepSem     chan struct{}
-	sweepRowHist *obs.Histogram
+	// sweepsLive and sweepRowsPending count the streaming sweeps and
+	// their unresolved grid points for the live gauges; sweepSem bounds
+	// total sweep-held pool slots across all concurrent sweeps;
+	// sweepRowHist feeds bsmpd_sweep_row_latency_seconds.
+	sweepsLive       atomic.Int64
+	sweepRowsPending atomic.Int64
+	sweepSem         chan struct{}
+	sweepRowHist     *obs.Histogram
 
 	// runScheme executes a validated run request under ctx; tests
 	// substitute it to inject blocking or panicking work behind the full
@@ -199,7 +203,6 @@ func New(cfg Config) *Server {
 		sizeHist:  obs.NewHistogram(1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8),
 		thetaHist: obs.NewHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
 
-		sweepsLive:   make(map[*sweepProgress]struct{}),
 		sweepRowHist: obs.NewHistogram(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30),
 	}
 	s.sweepSem = make(chan struct{}, cfg.SweepParallel)
@@ -212,7 +215,7 @@ func New(cfg Config) *Server {
 		bsmp.SetMemoCapacity(cfg.MemoCapacity)
 	}
 	s.pool.SetQueueWaitObserver(s.waitHist.Observe)
-	s.declareCounters()
+	s.ctr.publish(s.vars)
 	s.registerGauges()
 
 	mux := http.NewServeMux()
@@ -257,7 +260,7 @@ func (s *Server) ListenAndServe() error {
 // unwind.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.vars.Add("draining", 1)
+	s.ctr.Draining.Add(1)
 	var err error
 	if s.httpSrv != nil {
 		err = s.httpSrv.Shutdown(ctx)
@@ -313,44 +316,26 @@ func (s *Server) registerGauges() {
 	s.vars.Set("queue_depth", expvar.Func(func() any {
 		return s.pool.QueueDepth()
 	}))
-	s.vars.Set("kernel_cache_entries", expvar.Func(func() any {
-		e, _, _, _ := bsmp.KernelCacheStats()
-		return e
-	}))
-	s.vars.Set("kernel_cache_hits", expvar.Func(func() any {
-		_, h, _, _ := bsmp.KernelCacheStats()
-		return h
-	}))
-	s.vars.Set("kernel_cache_misses", expvar.Func(func() any {
-		_, _, m, _ := bsmp.KernelCacheStats()
-		return m
-	}))
-	s.vars.Set("kernel_cache_evictions", expvar.Func(func() any {
-		_, _, _, e := bsmp.KernelCacheStats()
-		return e
-	}))
+	for i, name := range []string{"kernel_cache_entries", "kernel_cache_hits", "kernel_cache_misses", "kernel_cache_evictions"} {
+		s.vars.Set(name, expvar.Func(func() any {
+			e, h, m, ev := bsmp.KernelCacheStats()
+			return [...]int64{int64(e), h, m, ev}[i]
+		}))
+	}
 	// Unified memo store gauges (kernels + subtree replay records). The
 	// scalar counters render on both endpoints; the per-(kind, level)
 	// breakdown renders as JSON here and as labeled series on
 	// /metrics.prom.
-	s.vars.Set("memo_capacity", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Capacity
-	}))
-	s.vars.Set("memo_entries", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Entries
-	}))
-	s.vars.Set("memo_hits", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Hits
-	}))
-	s.vars.Set("memo_misses", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Misses
-	}))
-	s.vars.Set("memo_evictions", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Evictions
-	}))
-	s.vars.Set("memo_levels", expvar.Func(func() any {
-		return bsmp.MemoStatsSnapshot().Levels
-	}))
+	for name, field := range map[string]func(bsmp.MemoStats) any{
+		"memo_capacity":  func(m bsmp.MemoStats) any { return m.Capacity },
+		"memo_entries":   func(m bsmp.MemoStats) any { return m.Entries },
+		"memo_hits":      func(m bsmp.MemoStats) any { return m.Hits },
+		"memo_misses":    func(m bsmp.MemoStats) any { return m.Misses },
+		"memo_evictions": func(m bsmp.MemoStats) any { return m.Evictions },
+		"memo_levels":    func(m bsmp.MemoStats) any { return m.Levels },
+	} {
+		s.vars.Set(name, expvar.Func(func() any { return field(bsmp.MemoStatsSnapshot()) }))
+	}
 	// Histogram snapshots render inline in the /metrics JSON; the
 	// Prometheus endpoint serves the same data in text format.
 	s.vars.Set("run_latency_seconds", expvar.Func(func() any { return s.latHist.Snapshot() }))
@@ -372,20 +357,8 @@ func (s *Server) registerGauges() {
 	}))
 	// Live sweep progress: how many sweeps are streaming right now and
 	// how many of their grid points are still unresolved.
-	s.vars.Set("inflight_sweeps", expvar.Func(func() any {
-		s.sweepMu.Lock()
-		defer s.sweepMu.Unlock()
-		return len(s.sweepsLive)
-	}))
-	s.vars.Set("sweep_rows_pending", expvar.Func(func() any {
-		s.sweepMu.Lock()
-		defer s.sweepMu.Unlock()
-		var v int64
-		for p := range s.sweepsLive {
-			v += int64(p.total) - p.done.Load()
-		}
-		return v
-	}))
+	s.vars.Set("inflight_sweeps", expvar.Func(func() any { return s.sweepsLive.Load() }))
+	s.vars.Set("sweep_rows_pending", expvar.Func(func() any { return s.sweepRowsPending.Load() }))
 }
 
 // newBootID returns the random prefix of this process's request IDs, so
@@ -398,6 +371,3 @@ func newBootID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// CacheStats exposes the result cache counters (smoke and unit tests).
-func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }

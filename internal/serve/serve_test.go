@@ -76,8 +76,7 @@ func TestRunValidAndCached(t *testing.T) {
 	if second.Time != first.Time {
 		t.Fatalf("cached Time %v != original %v", second.Time, first.Time)
 	}
-	hits, _ := s.CacheStats()
-	if hits != 1 {
+	if hits := s.ctr.CacheHits.Value(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 }

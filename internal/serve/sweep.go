@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bsmp"
@@ -219,14 +218,10 @@ type SweepSummary struct {
 	Trace     []*bsmp.Span `json:"trace,omitempty"`
 }
 
-// sweepPoint is one expanded grid tuple, with its validation verdict.
-type sweepPoint struct {
-	req RunRequest
-	err *ErrorDetail // non-nil: the point is invalid (skip_invalid mode)
-}
-
 // sweepUnit is the unit of execution after intra-grid deduplication: one
-// canonical tuple and every grid index that maps to it.
+// canonical tuple (Trace set for traced sweeps), its flight key, and
+// every grid index that maps to it. An invalid point (skip_invalid
+// mode) is its own unit carrying only err.
 type sweepUnit struct {
 	key     string
 	req     RunRequest
@@ -234,23 +229,19 @@ type sweepUnit struct {
 	indices []int
 }
 
-// sweepProgress tracks one live sweep for the /metrics gauges.
-type sweepProgress struct {
-	total int
-	done  atomic.Int64
-}
-
-// expandSweep builds the grid in deterministic order and validates every
-// point. A grid-shape problem (no scheme, empty axis, too many points)
-// or — without skip_invalid — the first invalid point aborts with a
-// non-nil ErrorDetail.
-func (s *Server) expandSweep(req SweepRequest) ([]sweepPoint, *ErrorDetail) {
+// planSweep expands the grid in deterministic order, validates every
+// point, and deduplicates it against itself: points whose canonical
+// tuples coincide share one unit, later indices marked Deduped. It
+// returns the units and the grid size. A grid-shape problem (no scheme,
+// empty axis, too many points) or — without skip_invalid — the first
+// invalid point aborts with a non-nil ErrorDetail.
+func (s *Server) planSweep(req SweepRequest, trace bool) ([]*sweepUnit, int, *ErrorDetail) {
 	schemes := req.Schemes
 	if req.Scheme != "" {
 		schemes = append([]string{req.Scheme}, schemes...)
 	}
 	if len(schemes) == 0 {
-		return nil, &ErrorDetail{Kind: "param", Message: "sweep requires at least one scheme",
+		return nil, 0, &ErrorDetail{Kind: "param", Message: "sweep requires at least one scheme",
 			Param: &bsmp.ParamError{Field: "schemes", Constraint: "at least one scheme required", Got: 0}}
 	}
 	for _, ax := range []struct {
@@ -258,7 +249,7 @@ func (s *Server) expandSweep(req SweepRequest) ([]sweepPoint, *ErrorDetail) {
 		vals Axis
 	}{{"n", req.N}, {"p", req.P}, {"m", req.M}, {"steps", req.Steps}} {
 		if len(ax.vals) == 0 {
-			return nil, &ErrorDetail{Kind: "param",
+			return nil, 0, &ErrorDetail{Kind: "param",
 				Message: fmt.Sprintf("sweep axis %q requires at least one value", ax.name),
 				Param:   &bsmp.ParamError{Field: ax.name, Constraint: "axis requires at least one value", Got: 0}}
 		}
@@ -277,22 +268,19 @@ func (s *Server) expandSweep(req SweepRequest) ([]sweepPoint, *ErrorDetail) {
 	for _, f := range []int{len(schemes), len(req.N), len(req.P), len(req.M), len(req.Steps), len(thetas)} {
 		total *= f
 		if total > s.cfg.MaxSweepPoints {
-			return nil, &ErrorDetail{Kind: "param",
+			return nil, 0, &ErrorDetail{Kind: "param",
 				Message: fmt.Sprintf("grid expands to at least %d points, server limit %d", total, s.cfg.MaxSweepPoints),
 				Param: &bsmp.ParamError{Field: "grid",
 					Constraint: fmt.Sprintf("at most %d points per sweep", s.cfg.MaxSweepPoints), Got: total}}
 		}
 	}
-	guest := req.Guest
-	if guest == "" {
-		guest = "mixca"
-	}
-	if guest != "mixca" && guest != "rule90" {
-		return nil, &ErrorDetail{Kind: "param", Message: "unknown guest",
-			Param: &bsmp.ParamError{Field: "guest", Constraint: `must be "mixca" or "rule90"`, Got: guest}}
+	if detail := checkGuest("", &req.Guest); detail != nil {
+		return nil, 0, detail
 	}
 
-	points := make([]sweepPoint, 0, total)
+	units := make([]*sweepUnit, 0, total)
+	byKey := make(map[string]*sweepUnit, total)
+	i := 0
 	for _, sc := range schemes {
 		for _, n := range req.N {
 			for _, p := range req.P {
@@ -303,74 +291,41 @@ func (s *Server) expandSweep(req SweepRequest) ([]sweepPoint, *ErrorDetail) {
 							cfg.Theta = th
 							pt := RunRequest{
 								Scheme: sc, D: req.D, N: n, P: p, M: m, Steps: st,
-								Guest: guest, Seed: req.Seed, Config: cfg,
+								Guest: req.Guest, Seed: req.Seed, Config: cfg,
 							}
-							detail := s.validateSweepPoint(pt)
-							if detail != nil && !req.SkipInvalid {
-								detail.Message = fmt.Sprintf("grid point %d: %s", len(points), detail.Message)
-								return nil, detail
+							if detail := s.admit(pt); detail != nil {
+								if !req.SkipInvalid {
+									detail.Message = fmt.Sprintf("grid point %d: %s", i, detail.Message)
+									return nil, 0, detail
+								}
+								units = append(units, &sweepUnit{err: detail, indices: []int{i}})
+							} else {
+								pt = pt.canonical()
+								pt.Trace = trace
+								key := flightKey(pt)
+								if u, ok := byKey[key]; ok {
+									u.indices = append(u.indices, i)
+								} else {
+									byKey[key] = &sweepUnit{key: key, req: pt, indices: []int{i}}
+									units = append(units, byKey[key])
+								}
 							}
-							points = append(points, sweepPoint{req: pt, err: detail})
+							i++
 						}
 					}
 				}
 			}
 		}
 	}
-	return points, nil
-}
-
-// validateSweepPoint applies the single-run validation chain — server
-// caps then registry validation — to one grid point.
-func (s *Server) validateSweepPoint(pt RunRequest) *ErrorDetail {
-	if pe := s.checkCaps(pt); pe != nil {
-		return &ErrorDetail{Kind: "param", Message: pe.Error(), Param: pe}
-	}
-	if err := bsmp.ValidateParams(pt.Scheme, pt.D, pt.N, pt.P, pt.M, pt.Steps, pt.schemeConfig()); err != nil {
-		var pe *bsmp.ParamError
-		if !errors.As(err, &pe) {
-			pe = &bsmp.ParamError{Scheme: pt.Scheme, Field: "scheme",
-				Constraint: "must be a registered (scheme, d) pair", Got: pt.Scheme}
-		}
-		return &ErrorDetail{Kind: "param", Message: err.Error(), Param: pe}
-	}
-	return nil
-}
-
-// planSweep deduplicates the expanded grid against itself: points whose
-// canonical tuples coincide share one execution, later indices marked
-// Deduped. Invalid points stay their own unit (they only emit an error
-// row).
-func planSweep(points []sweepPoint, trace bool) []*sweepUnit {
-	units := make([]*sweepUnit, 0, len(points))
-	byKey := make(map[string]*sweepUnit, len(points))
-	for i, pt := range points {
-		if pt.err != nil {
-			units = append(units, &sweepUnit{err: pt.err, indices: []int{i}})
-			continue
-		}
-		key := cacheKey(pt.req.canonical())
-		if trace {
-			key += "|trace"
-		}
-		if u, ok := byKey[key]; ok {
-			u.indices = append(u.indices, i)
-			continue
-		}
-		u := &sweepUnit{key: key, req: pt.req, indices: []int{i}}
-		byKey[key] = u
-		units = append(units, u)
-	}
-	return units
+	return units, total, nil
 }
 
 // sweepRowOut is one completed unit on its way to the response writer.
 type sweepRowOut struct {
 	unit *sweepUnit
-	resp *RunResponse  // nil on error
+	resp *RunResponse  // nil on error; Cached marks a result-LRU hit
 	err  *ErrorDetail  // nil on success
 	wait time.Duration // completion latency as seen by the sweep; 0 for cache hits
-	hit  bool          // served from the result LRU
 }
 
 // handleSweep serves POST /v1/sweep[?trace=1]: NDJSON rows as grid
@@ -378,38 +333,24 @@ type sweepRowOut struct {
 // server shutdown) stops all in-flight points; rows already flushed
 // remain valid JSON lines.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method", "use POST", nil)
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is shutting down", nil)
-		return
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
-	dec.DisallowUnknownFields()
 	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "body", fmt.Sprintf("malformed sweep body: %v", err), nil)
+	if !s.decodePost(w, r, maxSweepBody, "sweep", &req) {
 		return
 	}
-	points, gridErr := s.expandSweep(req)
+	trace := r.URL.Query().Get("trace") == "1"
+	units, points, gridErr := s.planSweep(req, trace)
 	if gridErr != nil {
 		writeError(w, http.StatusBadRequest, gridErr.Kind, gridErr.Message, gridErr.Param)
 		return
 	}
-	trace := r.URL.Query().Get("trace") == "1"
-	units := planSweep(points, trace)
 
-	s.vars.Add("sweeps", 1)
-	prog := &sweepProgress{total: len(points)}
-	s.sweepMu.Lock()
-	s.sweepsLive[prog] = struct{}{}
-	s.sweepMu.Unlock()
+	s.ctr.Sweeps.Add(1)
+	s.sweepsLive.Add(1)
+	pending := int64(points)
+	s.sweepRowsPending.Add(pending)
 	defer func() {
-		s.sweepMu.Lock()
-		delete(s.sweepsLive, prog)
-		s.sweepMu.Unlock()
+		s.sweepsLive.Add(-1)
+		s.sweepRowsPending.Add(-pending)
 	}()
 
 	ctx, cancel := context.WithCancel(r.Context())
@@ -428,7 +369,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(u *sweepUnit) {
 			defer wg.Done()
-			results <- s.runSweepUnit(ctx, u, trace)
+			results <- s.runSweepUnit(ctx, u)
 		}(u)
 	}
 	go func() {
@@ -439,31 +380,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Single writer: one JSON line per completed unit index, flushed as
 	// it lands. After a write failure (client gone) or cancellation the
 	// loop keeps draining so every goroutine can finish its accounting.
-	sum := SweepSummary{Points: len(points)}
+	sum := SweepSummary{Points: points}
 	writeOK := true
 	var rowTraces []tracedRow
 	for out := range results {
-		prog.done.Add(int64(len(out.unit.indices)))
+		done := int64(len(out.unit.indices))
+		pending -= done
+		s.sweepRowsPending.Add(-done)
 		for k, idx := range out.unit.indices {
 			row := SweepRow{Index: idx, Deduped: k > 0}
 			switch {
 			case out.err != nil:
 				row.Error = out.err
 				sum.Errors++
-				s.vars.Add("sweep_row_errors", 1)
+				s.ctr.SweepRowErrors.Add(1)
 			default:
 				resp := *out.resp
 				row.Result = &resp
-				if out.hit {
+				if resp.Cached {
 					sum.CacheHits++
-					s.vars.Add("sweep_rows_cached", 1)
+					s.ctr.SweepRowsCached.Add(1)
 				}
 			}
 			if k > 0 {
 				sum.Deduped++
-				s.vars.Add("sweep_rows_deduped", 1)
+				s.ctr.SweepRowsDeduped.Add(1)
 			}
-			s.vars.Add("sweep_rows", 1)
+			s.ctr.SweepRows.Add(1)
 			if row.Result != nil && trace && k == 0 && out.resp.Trace != nil {
 				rowTraces = append(rowTraces, tracedRow{index: idx, resp: out.resp})
 			}
@@ -490,7 +433,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sum.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	if !writeOK || ctx.Err() != nil {
-		s.vars.Add("sweeps_cancelled", 1)
+		s.ctr.SweepsCancelled.Add(1)
 		return
 	}
 	sum.Done = true
@@ -504,22 +447,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runSweepUnit resolves one deduplicated grid unit: cache probe, then a
-// pool-backed execution shared with identical concurrent runs or sweep
-// units through the flight group.
-func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) sweepRowOut {
+// runSweepUnit resolves one deduplicated grid unit: cache probe, then
+// the shared execution path, where it coalesces with identical
+// concurrent runs or sweep units.
+func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit) sweepRowOut {
 	if u.err != nil {
 		return sweepRowOut{unit: u, err: u.err}
 	}
-	creq := u.req.canonical()
-	if !trace {
-		if v, ok := s.cache.Get(u.key); ok {
-			resp := *v.(*RunResponse)
-			resp.Cached = true
-			// The row keeps the original execution's run_id; attribute the
-			// hit to that record rather than minting a new one.
-			s.registry.Get(resp.RunID).AddCacheHit()
-			return sweepRowOut{unit: u, resp: &resp, hit: true}
+	if !u.req.Trace {
+		if resp, ok := s.cached(u.key); ok {
+			return sweepRowOut{unit: u, resp: resp}
 		}
 	}
 	select {
@@ -530,38 +467,13 @@ func (s *Server) runSweepUnit(ctx context.Context, u *sweepUnit, trace bool) swe
 		return sweepRowOut{unit: u, err: &detail}
 	}
 	start := time.Now()
-	rreq := creq
-	rreq.Trace = trace
-	v, err, shared := s.flight.Do(ctx, u.key, func() (any, error) {
-		// One registry record per executed grid point, shared with any
-		// /v1/run or concurrent sweep coalescing on the same flight key.
-		rec := s.beginRun(rreq, "sweep")
-		v, err := s.poolDoRetry(ctx, func(jctx context.Context) (any, error) {
-			rctx, rcancel := context.WithTimeout(jctx, s.cfg.RequestTimeout)
-			defer rcancel()
-			rec.h.Running()
-			resp, err := s.runScheme(rec.attach(rctx), rreq)
-			if err == nil {
-				s.vars.Add("runs", 1)
-				resp.RunID = rec.h.ID()
-				if !trace {
-					s.cache.Add(u.key, resp)
-				}
-			}
-			return resp, err
-		})
-		resp, _ := v.(*RunResponse)
-		s.finishRun(rec, resp, err)
-		return v, err
-	})
+	resp, _, err := s.runShared(ctx, u.req, "sweep", s.poolDoRetry)
 	wait := time.Since(start)
 	if err != nil {
 		_, detail := s.classifyRunError(err)
 		return sweepRowOut{unit: u, err: &detail, wait: wait}
 	}
-	resp := *v.(*RunResponse)
-	resp.Coalesced = shared
-	return sweepRowOut{unit: u, resp: &resp, wait: wait}
+	return sweepRowOut{unit: u, resp: resp, wait: wait}
 }
 
 // poolDoRetry submits fn to the worker pool, riding out transient
@@ -575,7 +487,7 @@ func (s *Server) poolDoRetry(ctx context.Context, fn func(ctx context.Context) (
 		if !errors.Is(err, ErrQueueFull) {
 			return v, err
 		}
-		s.vars.Add("sweep_queue_retries", 1)
+		s.ctr.SweepQueueRetries.Add(1)
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
